@@ -16,6 +16,7 @@ import (
 	"pier/internal/core"
 	"pier/internal/dataset"
 	"pier/internal/match"
+	"pier/internal/obsv"
 	"pier/internal/stream"
 )
 
@@ -69,12 +70,16 @@ func scrapeProm(t *testing.T, url string) map[string]float64 {
 // stream progresses.
 func TestMetricsEndpointDuringLiveRun(t *testing.T) {
 	d := dataset.DA(0.05, 11)
-	live := stream.LiveRun(core.NewIPES(core.DefaultConfig()), stream.LiveConfig{
+	reg := obsv.NewRegistry()
+	cfg := core.DefaultConfig()
+	cfg.Metrics = reg // strategy and pipeline share one endpoint, as in run()
+	live := stream.LiveRun(core.NewIPES(cfg), stream.LiveConfig{
 		CleanClean:   true,
 		MaxBlockSize: stream.DefaultMaxBlockSize,
 		Matcher:      match.NewMatcher(match.JS),
 		TickEvery:    time.Millisecond,
 		Window:       40,
+		Metrics:      reg,
 	})
 	addr, shutdown, err := serveMetrics("127.0.0.1:0", live.Registry())
 	if err != nil {
@@ -107,6 +112,8 @@ func TestMetricsEndpointDuringLiveRun(t *testing.T) {
 		"pier_profiles_ingested_total",
 		"pier_window_evictions_total",
 		"pier_dedup_entries",
+		"pier_emit_seconds_count",
+		"pier_ipes_active_entities",
 	} {
 		if _, ok := first[name]; !ok {
 			t.Errorf("/metrics missing required series %s", name)

@@ -399,6 +399,57 @@ func TestEmitBatch(t *testing.T) {
 	}
 }
 
+// sliceStrategy dequeues a fixed comparison list; resetting next refills it
+// without allocating, so AllocsPerRun sees AppendBatch's allocations alone.
+type sliceStrategy struct {
+	items []metablocking.Comparison
+	next  int
+}
+
+func (s *sliceStrategy) Name() string { return "slice" }
+func (s *sliceStrategy) UpdateIndex(*blocking.Collection, []*profile.Profile) time.Duration {
+	return 0
+}
+func (s *sliceStrategy) Pending() int { return len(s.items) - s.next }
+func (s *sliceStrategy) Dequeue() (metablocking.Comparison, bool) {
+	if s.next == len(s.items) {
+		return metablocking.Comparison{}, false
+	}
+	s.next++
+	return s.items[s.next-1], true
+}
+
+func TestAppendBatch(t *testing.T) {
+	s := &sliceStrategy{}
+	for i := 0; i < 10; i++ {
+		s.items = append(s.items, metablocking.Comparison{X: i, Y: i + 1, Weight: float64(10 - i)})
+	}
+	prefix := []metablocking.Comparison{{X: -1, Y: -2}}
+	got := AppendBatch(prefix, s, 4)
+	if len(got) != 5 || got[0] != prefix[0] || got[1] != s.items[0] || got[4] != s.items[3] {
+		t.Fatalf("AppendBatch(prefix, k=4) = %v, want the prefix then the first 4 items", got)
+	}
+	if got := AppendBatch(prefix, s, 0); len(got) != 1 {
+		t.Errorf("AppendBatch(k=0) = %v, want dst unchanged", got)
+	}
+	if rest := AppendBatch(nil, s, 100); len(rest) != 6 || rest[0] != s.items[4] {
+		t.Errorf("AppendBatch(k=100) = %v, want the 6 remaining in order", rest)
+	}
+
+	// Into a buffer with capacity, a batch allocates nothing.
+	buf := make([]metablocking.Comparison, 0, len(s.items))
+	allocs := testing.AllocsPerRun(100, func() {
+		s.next = 0
+		buf = AppendBatch(buf[:0], s, len(s.items))
+	})
+	if allocs != 0 {
+		t.Errorf("AppendBatch into a buffer with capacity: %v allocs/op, want 0", allocs)
+	}
+	if len(buf) != len(s.items) {
+		t.Errorf("AppendBatch emitted %d, want %d", len(buf), len(s.items))
+	}
+}
+
 func TestAdaptiveKGrowsWithFastMatcher(t *testing.T) {
 	a := NewAdaptiveK()
 	for i := 0; i < 50; i++ {

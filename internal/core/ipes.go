@@ -5,6 +5,7 @@ import (
 
 	"pier/internal/blocking"
 	"pier/internal/metablocking"
+	"pier/internal/obsv"
 	"pier/internal/profile"
 	"pier/internal/queue"
 )
@@ -27,6 +28,11 @@ import (
 //     dequeue.
 //   - PQ is a bounded priority queue of globally below-average comparisons,
 //     drained only when the entity path is exhausted.
+//
+// E_PQ entries are never deleted — their insertion statistics feed insert()
+// for the rest of the run — so the entities that still hold work are also
+// kept on the active list, which the EntityQueue refill walks instead of the
+// whole map (DESIGN.md §15).
 type IPES struct {
 	cfg Config
 	gen *generator
@@ -34,6 +40,10 @@ type IPES struct {
 	entityQueue *queue.Heap[entityEntry]
 	epq         map[int]*entityState
 	pq          *queue.Bounded[metablocking.Comparison]
+	// active lists every entity whose E_PQ queue is non-empty, plus those
+	// drained since the last refill, each once (entityState.listed).
+	active      []int
+	activeGauge *obsv.Gauge
 
 	total   float64 // running sum of all inserted comparison weights
 	count   int     // running count of all inserted comparisons
@@ -60,17 +70,23 @@ type entityState struct {
 	q        queue.Bounded[metablocking.Comparison] // by value: one alloc per entity
 	insSum   float64
 	insCount int
+	listed   bool // on IPES.active
 }
 
 // NewIPES returns an I-PES strategy with the given configuration.
 func NewIPES(cfg Config) *IPES {
-	return &IPES{
+	s := &IPES{
 		cfg:         cfg,
 		gen:         newGenerator(cfg),
 		entityQueue: queue.NewHeap(entityLess),
 		epq:         make(map[int]*entityState),
 		pq:          queue.NewBounded(cfg.IndexCapacity, metablocking.Less),
 	}
+	if cfg.Metrics != nil {
+		s.activeGauge = cfg.Metrics.Gauge("pier_ipes_active_entities",
+			"I-PES entities on the active list: pending entity-queue work, or drained since the last refill")
+	}
+	return s
 }
 
 // Name implements Strategy.
@@ -174,6 +190,11 @@ func (s *IPES) epqPush(id int, c metablocking.Comparison) {
 	if _, dropped := st.q.Push(c); !dropped {
 		s.pending++
 	}
+	if !st.listed {
+		st.listed = true
+		s.active = append(s.active, id)
+		s.setActiveGauge()
+	}
 }
 
 // insert implements the paper's insert(c, e, E_PQ(e)): the comparison enters
@@ -222,16 +243,32 @@ func (s *IPES) Dequeue() (metablocking.Comparison, bool) {
 }
 
 // refillEntityQueue pushes ⟨e, top.weight⟩ for every entity with pending
-// comparisons; it reports whether anything was pushed.
+// comparisons; it reports whether anything was pushed. It walks the active
+// list, compacting out the entities drained since the previous refill, so
+// its cost follows the entities that still hold work rather than every
+// entity ever seen. The EntityQueue orders tuples by (weight, id), a total
+// order, so the pops that follow do not depend on the push order.
 func (s *IPES) refillEntityQueue() bool {
-	pushed := false
-	for id, st := range s.epq {
-		if top, ok := st.q.PeekBest(); ok {
-			s.entityQueue.Push(entityEntry{id: id, weight: top.Weight})
-			pushed = true
+	kept := s.active[:0]
+	for _, id := range s.active {
+		st := s.epq[id]
+		top, ok := st.q.PeekBest()
+		if !ok {
+			st.listed = false
+			continue
 		}
+		s.entityQueue.Push(entityEntry{id: id, weight: top.Weight})
+		kept = append(kept, id)
 	}
-	return pushed
+	s.active = kept
+	s.setActiveGauge()
+	return len(kept) > 0
+}
+
+func (s *IPES) setActiveGauge() {
+	if s.activeGauge != nil {
+		s.activeGauge.Set(int64(len(s.active)))
+	}
 }
 
 // Pending implements Strategy.

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"pier/internal/bloom"
 	"pier/internal/intern"
@@ -260,12 +261,20 @@ func (s *IPES) LoadState(r io.Reader) error {
 	}
 	s.entityQueue.Restore(eq)
 	s.epq = make(map[int]*entityState, len(img.EPQ))
+	s.active = s.active[:0]
 	for id, sti := range img.EPQ {
-		st := &entityState{insSum: sti.InsSum, insCount: sti.InsCount}
+		st := &entityState{insSum: sti.InsSum, insCount: sti.InsCount, listed: len(sti.Items) > 0}
 		st.q.Init(s.cfg.PerEntityCapacity, metablocking.Less)
 		st.q.Restore(sti.Items)
 		s.epq[id] = st
+		if st.listed {
+			s.active = append(s.active, id)
+		}
 	}
+	// The active list is derived state, not part of the image: rebuild it in
+	// ID order so a restored strategy's layout does not depend on map order.
+	slices.Sort(s.active)
+	s.setActiveGauge()
 	s.pq.Restore(img.PQ)
 	s.total = img.Total
 	s.count = img.Count

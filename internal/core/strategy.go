@@ -14,6 +14,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"pier/internal/blocking"
@@ -104,16 +105,25 @@ func DefaultConfig() Config {
 // EmitBatch implements the emission loop of Algorithm 1 (lines 3–8): it
 // dequeues up to k comparisons from the strategy's index in priority order.
 func EmitBatch(s Strategy, k int) []metablocking.Comparison {
+	return AppendBatch(nil, s, k)
+}
+
+// AppendBatch is EmitBatch into a caller-owned buffer: it appends up to k
+// comparisons, dequeued in priority order, to dst and returns the extended
+// slice. dst grows at most once per call, to fit min(k, Pending()); a
+// buffer reused across batches therefore stops allocating once it has
+// reached the largest batch emitted.
+func AppendBatch(dst []metablocking.Comparison, s Strategy, k int) []metablocking.Comparison {
 	if k <= 0 {
-		return nil
+		return dst
 	}
-	out := make([]metablocking.Comparison, 0, min(k, s.Pending()))
-	for len(out) < k {
+	dst = slices.Grow(dst, min(k, s.Pending()))
+	for n := 0; n < k; n++ {
 		c, ok := s.Dequeue()
 		if !ok {
 			break
 		}
-		out = append(out, c)
+		dst = append(dst, c)
 	}
-	return out
+	return dst
 }

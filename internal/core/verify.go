@@ -49,13 +49,31 @@ func (s *ISN) verify() {
 
 // verify checks I-PES's triple index: the pending counter must equal the
 // comparisons actually held across E_PQ and PQ (the counter gates the
-// fallback scan, so drift either starves or floods the matcher), and every
-// queue must satisfy its heap order.
+// fallback scan, so drift either starves or floods the matcher), every
+// queue must satisfy its heap order, and every entity with a non-empty
+// queue must be on the active list exactly once, with its listed flag in
+// agreement (an unlisted entity's work would never be refilled).
 func (s *IPES) verify() {
+	onList := make(map[int]bool, len(s.active))
+	for _, id := range s.active {
+		if onList[id] {
+			panic(fmt.Sprintf("core: I-PES entity %d is on the active list twice", id))
+		}
+		onList[id] = true
+		if _, ok := s.epq[id]; !ok {
+			panic(fmt.Sprintf("core: I-PES entity %d is on the active list but not in E_PQ", id))
+		}
+	}
 	held := s.pq.Len()
 	for id, st := range s.epq {
 		if err := st.q.Verify(); err != nil {
 			panic(fmt.Sprintf("core: I-PES entity %d queue invariant violated: %v", id, err))
+		}
+		if st.listed != onList[id] {
+			panic(fmt.Sprintf("core: I-PES entity %d listed=%v disagrees with active-list membership", id, st.listed))
+		}
+		if st.q.Len() > 0 && !st.listed {
+			panic(fmt.Sprintf("core: I-PES entity %d holds %d comparisons but is not on the active list", id, st.q.Len()))
 		}
 		held += st.q.Len()
 	}

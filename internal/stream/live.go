@@ -230,6 +230,7 @@ type liveMetrics struct {
 	incSize   *obsv.Histogram
 	ingestSec *obsv.Histogram
 	batchSize *obsv.Histogram
+	emitSec   *obsv.Histogram
 	seqSec    *obsv.Histogram
 	parSec    *obsv.Histogram
 	ckptSec   *obsv.Histogram
@@ -271,6 +272,7 @@ func newLiveMetrics(reg *obsv.Registry) *liveMetrics {
 		incSize:       reg.Histogram("pier_increment_size", "profiles per pushed increment", sizeBuckets),
 		ingestSec:     reg.Histogram("pier_ingest_seconds", "wall time to block and index one increment", latBuckets),
 		batchSize:     reg.Histogram("pier_batch_size", "comparisons per emitted batch (after dedup and eviction skips)", sizeBuckets),
+		emitSec:       reg.Histogram("pier_emit_seconds", "per-batch wall time dequeuing comparisons from the strategy", latBuckets),
 		seqSec:        reg.Histogram("pier_match_seq_seconds", "per-batch matcher service time, sequential path", serviceBuckets),
 		parSec:        reg.Histogram("pier_match_par_seconds", "per-batch matcher service time, parallel path", serviceBuckets),
 		ckptSec:       reg.Histogram("pier_checkpoint_seconds", "wall time to write one checkpoint", latBuckets),
@@ -304,6 +306,11 @@ type liveState struct {
 	evictedSinceSweep int   // triggers pruning of the executed map
 
 	retryQ []retryJob
+
+	// Batch scratch, reused by every processBatch: once the buffers have
+	// reached the largest batch seen, assembling a batch allocates none.
+	jobs []job
+	emit []metablocking.Comparison
 
 	res         *liveCounters
 	start       time.Time
@@ -733,6 +740,9 @@ func (l *Live) loop(st *liveState) {
 			break
 		}
 	}
+	// No batch runs after this point; the stopped pipeline may live on for
+	// queries and checkpoints, so drop the batch scratch.
+	st.jobs, st.emit = nil, nil
 	// The executed map is pruned under Window, so the counter — not the
 	// map size — is the source of truth for total comparisons. It equals
 	// len(executed) exactly when no pruning happened.
@@ -777,7 +787,13 @@ func (l *Live) processBatch(st *liveState, matchPool, serialPool *pool.Pool, pro
 	// Phase 1 (sequential): assemble the batch. The retry backlog goes
 	// first — those pairs are already dedup-marked and must complete before
 	// new work competes for the matcher; then fresh strategy work up to k.
-	jobs := make([]job, 0, k)
+	// The jobs buffer is st's: its used part is cleared on the way out, so
+	// the scratch never pins the profiles of evicted comparisons.
+	jobs := st.jobs[:0]
+	defer func() {
+		clear(jobs)
+		st.jobs = jobs[:0]
+	}()
 	nRetry := len(st.retryQ)
 	if nRetry > k {
 		nRetry = k
@@ -796,7 +812,10 @@ func (l *Live) processBatch(st *liveState, matchPool, serialPool *pool.Pool, pro
 	}
 	st.retryQ = append(st.retryQ[:0:0], st.retryQ[nRetry:]...)
 
-	batch := core.EmitBatch(l.strategy, k-len(jobs))
+	emitStart := time.Now()
+	st.emit = core.AppendBatch(st.emit[:0], l.strategy, k-len(jobs))
+	l.m.emitSec.Observe(time.Since(emitStart).Seconds())
+	batch := st.emit
 	// A pair is marked executed only once its profiles resolve — comparisons
 	// skipped because a profile was evicted must not count, or the final
 	// Summary would disagree with the Stats() counters.

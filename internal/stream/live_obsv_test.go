@@ -197,4 +197,9 @@ func TestLiveSnapshotAndSharedRegistry(t *testing.T) {
 	if reg.Histogram("pier_increment_size", "", nil).Count() != uint64(len(incs)) {
 		t.Error("increment-size histogram did not record every push")
 	}
+	// Every batch is timed through emission, including those that emitted
+	// nothing, so the emit histogram counts at least the recorded batches.
+	if e, b := reg.Histogram("pier_emit_seconds", "", nil).Count(), reg.Histogram("pier_batch_size", "", nil).Count(); b == 0 || e < b {
+		t.Errorf("emit histogram counted %d batches, batch-size histogram %d", e, b)
+	}
 }

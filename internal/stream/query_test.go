@@ -301,7 +301,10 @@ func TestQueryFallibleMatcher(t *testing.T) {
 	})
 	defer l.Interrupt()
 	l.Push(incs[0])
-	for l.Snapshot().Increments < 1 {
+	// Wait for the batch that follows the ingest to finish: its failed
+	// comparisons land on the retry queue, and with hourly ticks nothing
+	// else touches the matcher until the queries below.
+	for s := l.Snapshot(); s.Increments < 1 || s.RetryPending == 0; s = l.Snapshot() {
 		time.Sleep(time.Millisecond)
 	}
 	mu.Lock()

@@ -134,6 +134,7 @@ func Run(strategy core.Strategy, incs []Increment, cfg Config) *Result {
 	var lastArrival time.Duration
 	next := 0 // index of the next increment to ingest
 	res := &Result{}
+	var batch []metablocking.Comparison // emission buffer, reused every round
 
 	budgetLeft := func() bool { return cfg.Budget <= 0 || now < cfg.Budget }
 
@@ -174,7 +175,7 @@ func Run(strategy core.Strategy, incs []Increment, cfg Config) *Result {
 			}
 		}
 
-		batch := core.EmitBatch(strategy, kPolicy.K())
+		batch = core.AppendBatch(batch[:0], strategy, kPolicy.K())
 		for _, c := range batch {
 			if !budgetLeft() {
 				break
