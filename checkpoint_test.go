@@ -239,6 +239,47 @@ func TestRestoreRejectsMismatchedOptions(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsDuplicatedSymbol: a checkpoint whose symbol table lists
+// one string twice is corrupt — the symbol mapping would be ambiguous — and
+// Restore must return an error, not panic.
+func TestRestoreRejectsDuplicatedSymbol(t *testing.T) {
+	opt := pier.Options{Algorithm: pier.IPES, CleanClean: true}
+	p, err := pier.NewPipeline(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Push([]pier.Profile{
+		{Key: "a", Attributes: pier.Attr("title", "zebrax yakyak")},
+		{Key: "b", SourceB: true, Attributes: pier.Attr("title", "zebrax yakyak")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.Stop()
+	var snap bytes.Buffer
+	if _, err := p.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	// Gob writes each symbol as its length byte then its bytes. The profiles
+	// hold both tokens inside one longer value, so each pattern occurs once:
+	// in the collection's symbol table. Overwriting the second symbol with
+	// the first keeps the stream decodable but duplicates a symbol.
+	img := snap.Bytes()
+	first, second := []byte("\x06zebrax"), []byte("\x06yakyak")
+	if bytes.Count(img, first) != 1 || bytes.Count(img, second) != 1 {
+		t.Fatalf("symbol patterns occur %d and %d times, want once each",
+			bytes.Count(img, first), bytes.Count(img, second))
+	}
+	copy(img[bytes.Index(img, second):], first)
+	r, err := pier.Restore(bytes.NewReader(img), opt)
+	if err == nil {
+		r.Stop()
+		t.Fatal("Restore of a checkpoint with a duplicated symbol succeeded")
+	}
+	if !strings.Contains(err.Error(), "duplicate symbol") {
+		t.Errorf("Restore error %q does not name the duplicated symbol", err)
+	}
+}
+
 // TestCheckpointUncheckpointableAlgorithm: baseline strategies carry no
 // persistence; Checkpoint must fail loudly, not write a partial snapshot.
 func TestCheckpointUncheckpointableAlgorithm(t *testing.T) {

@@ -39,6 +39,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
@@ -261,8 +262,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		live.Close()
 	}()
 
-	// checkpoint writes the snapshot atomically: a crash mid-write leaves
-	// the previous checkpoint intact.
+	// checkpoint writes the snapshot atomically and durably: the file is
+	// synced before the rename and the directory after it, so a crash at any
+	// point leaves either the previous checkpoint or the complete new one.
 	checkpoint := func() error {
 		tmp := *ckptPath + ".tmp"
 		cf, err := os.Create(tmp)
@@ -274,11 +276,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			os.Remove(tmp)
 			return err
 		}
+		if err := cf.Sync(); err != nil {
+			cf.Close()
+			os.Remove(tmp)
+			return err
+		}
 		if err := cf.Close(); err != nil {
 			os.Remove(tmp)
 			return err
 		}
-		return os.Rename(tmp, *ckptPath)
+		if err := os.Rename(tmp, *ckptPath); err != nil {
+			return err
+		}
+		return syncDir(filepath.Dir(*ckptPath))
 	}
 
 	if *metricsAddr != "" {
@@ -351,4 +361,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "checkpoint written to %s\n", *ckptPath)
 	}
 	return exitOK
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }

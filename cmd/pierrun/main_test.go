@@ -275,3 +275,14 @@ func totalsLine(t *testing.T, out string) string {
 	t.Fatalf("no totals line in output:\n%s", out)
 	return ""
 }
+
+// TestSyncDir: the directory fsync that makes a checkpoint rename durable
+// succeeds on a real directory and reports an error instead of ignoring it.
+func TestSyncDir(t *testing.T) {
+	if err := syncDir(t.TempDir()); err != nil {
+		t.Fatalf("syncDir of a directory: %v", err)
+	}
+	if err := syncDir(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Fatal("syncDir of a missing directory returned nil")
+	}
+}

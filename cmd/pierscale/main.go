@@ -1,7 +1,7 @@
 // Command pierscale records the multi-core scaling behavior of the two
 // parallel hot paths this repo optimizes: candidate generation (the pool's
-// dynamic scheduler) and the online query path (RCU snapshots vs the locked
-// baseline), as JSON for the benchmark artifacts (BENCH_scaling.json).
+// dynamic scheduler) and the online query path (RCU snapshots), as JSON for
+// the benchmark artifacts (BENCH_scaling.json).
 //
 //	pierscale -dataset movies -scale 0.1 -workers 1,2,4 -qduration 2s
 //
@@ -13,9 +13,7 @@
 //
 // Phase B measures query throughput *under concurrent ingest*: a feeder
 // pushes increments with pierload's arrival shapes while closed-loop readers
-// hammer Live.Query, once against the mutex-guarded read path
-// (LiveConfig.LockedQueryReads) and once against the published snapshots.
-// The recorded speedup is the contention the lock-free read path removes.
+// hammer Live.Query against the published snapshots.
 //
 // GOMAXPROCS is set to each cell's worker count. On a machine with fewer
 // physical CPUs than workers the sweep time-shares instead of scaling; the
@@ -61,10 +59,9 @@ func main() {
 
 // report is the JSON artifact written to -out.
 type report struct {
-	Meta         meta          `json:"meta"`
-	GenScaling   []genCell     `json:"gen_scaling"`
-	QueryScaling []queryCell   `json:"query_scaling"`
-	QuerySpeedup []speedupCell `json:"query_speedup"`
+	Meta         meta        `json:"meta"`
+	GenScaling   []genCell   `json:"gen_scaling"`
+	QueryScaling []queryCell `json:"query_scaling"`
 }
 
 type meta struct {
@@ -94,9 +91,8 @@ type genCell struct {
 }
 
 // queryCell is one Phase B measurement: closed-loop query throughput under
-// concurrent ingest, for one read path at one worker count.
+// concurrent ingest at one worker count.
 type queryCell struct {
-	Path         string  `json:"path"` // "locked" or "snapshot"
 	Workers      int     `json:"workers"`
 	Readers      int     `json:"readers"`
 	DurationSec  float64 `json:"duration_s"`
@@ -105,15 +101,6 @@ type queryCell struct {
 	P50MS        float64 `json:"p50_ms"`
 	P99MS        float64 `json:"p99_ms"`
 	IngestedProf int     `json:"profiles_ingested_during_window"`
-}
-
-// speedupCell is the headline ratio: snapshot-path throughput over
-// locked-path throughput at the same worker count.
-type speedupCell struct {
-	Workers     int     `json:"workers"`
-	LockedQPS   float64 `json:"locked_qps"`
-	SnapshotQPS float64 `json:"snapshot_qps"`
-	Speedup     float64 `json:"speedup"`
 }
 
 // percentile returns the exact q-quantile (nearest-rank) of sorted samples.
@@ -307,27 +294,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Phase B: query throughput under concurrent ingest, locked vs snapshot
-	// read path at each worker count.
+	// Phase B: query throughput under concurrent ingest at each worker count.
 	for _, w := range workers {
-		var cells [2]queryCell
-		for i, locked := range []bool{true, false} {
-			cell, err := queryPhase(d, incs, w, *shards, *readers, *topK, *qduration, shape, *ingestRate, *seed, locked)
-			if err != nil {
-				return fail(err)
-			}
-			cells[i] = cell
-			rep.QueryScaling = append(rep.QueryScaling, cell)
-			if *verbose {
-				fmt.Fprintf(stdout, "pierscale: query %s w=%d qps=%.0f p50=%.2fms p99=%.2fms\n",
-					cell.Path, w, cell.QPS, cell.P50MS, cell.P99MS)
-			}
+		cell, err := queryPhase(d, incs, w, *shards, *readers, *topK, *qduration, shape, *ingestRate, *seed)
+		if err != nil {
+			return fail(err)
 		}
-		sp := speedupCell{Workers: w, LockedQPS: cells[0].QPS, SnapshotQPS: cells[1].QPS}
-		if cells[0].QPS > 0 {
-			sp.Speedup = cells[1].QPS / cells[0].QPS
+		rep.QueryScaling = append(rep.QueryScaling, cell)
+		if *verbose {
+			fmt.Fprintf(stdout, "pierscale: query w=%d qps=%.0f p50=%.2fms p99=%.2fms\n",
+				w, cell.QPS, cell.P50MS, cell.P99MS)
 		}
-		rep.QuerySpeedup = append(rep.QuerySpeedup, sp)
 	}
 
 	blob, err := json.MarshalIndent(rep, "", "  ")
@@ -342,9 +319,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := os.WriteFile(*out, blob, 0o644); err != nil {
 		return fail(err)
 	}
-	best := rep.QuerySpeedup[len(rep.QuerySpeedup)-1]
-	fmt.Fprintf(stdout, "pierscale: wrote %s (snapshot read path %.2fx locked at %d workers)\n",
-		*out, best.Speedup, best.Workers)
+	last := rep.QueryScaling[len(rep.QueryScaling)-1]
+	fmt.Fprintf(stdout, "pierscale: wrote %s (%.0f queries/s at %d workers)\n",
+		*out, last.QPS, last.Workers)
 	return exitOK
 }
 
@@ -352,23 +329,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 // closed-loop query throughput for the window while a feeder keeps pushing —
 // first the remaining real increments, then re-keyed clones so ingest
 // pressure never stops before the window ends.
-func queryPhase(d *dataset.Dataset, incs [][]*profile.Profile, w, shards, readers, topK int, window time.Duration, shape dataset.Shape, rate float64, seed int64, locked bool) (queryCell, error) {
+func queryPhase(d *dataset.Dataset, incs [][]*profile.Profile, w, shards, readers, topK int, window time.Duration, shape dataset.Shape, rate float64, seed int64) (queryCell, error) {
 	runtime.GOMAXPROCS(w)
 	cfg := core.DefaultConfig()
 	cfg.Parallelism = w
 	l := stream.LiveRun(core.NewIPES(cfg), stream.LiveConfig{
-		CleanClean:       d.CleanClean,
-		Matcher:          match.NewMatcher(match.JS),
-		TickEvery:        5 * time.Millisecond,
-		Parallelism:      w,
-		Shards:           shards,
-		LockedQueryReads: locked,
+		CleanClean:  d.CleanClean,
+		Matcher:     match.NewMatcher(match.JS),
+		TickEvery:   5 * time.Millisecond,
+		Parallelism: w,
+		Shards:      shards,
 	})
-	path := "snapshot"
-	if locked {
-		path = "locked"
-	}
-	cell := queryCell{Path: path, Workers: w, Readers: readers, DurationSec: window.Seconds()}
+	cell := queryCell{Workers: w, Readers: readers, DurationSec: window.Seconds()}
 
 	// Pre-ingest the first half so queries have a populated index.
 	half := len(incs) / 2

@@ -37,23 +37,15 @@ func TestRunQuick(t *testing.T) {
 			t.Errorf("gen cell w=%d: empty measurement (%v elapsed, %v gen)", c.Workers, c.ElapsedSec, c.GenSec)
 		}
 	}
-	if len(rep.QueryScaling) != 4 {
-		t.Fatalf("quick mode produced %d query cells, want 4 (2 paths × 2 worker counts)", len(rep.QueryScaling))
+	if len(rep.QueryScaling) != 2 {
+		t.Fatalf("quick mode produced %d query cells, want 2 (workers 1,2)", len(rep.QueryScaling))
 	}
 	for _, c := range rep.QueryScaling {
-		if c.Queries == 0 {
-			t.Errorf("query cell %s w=%d answered no queries", c.Path, c.Workers)
+		if c.Queries == 0 || c.QPS <= 0 {
+			t.Errorf("query cell w=%d answered no queries", c.Workers)
 		}
 		if c.IngestedProf == 0 {
-			t.Errorf("query cell %s w=%d saw no concurrent ingest — the cell measured a quiescent index", c.Path, c.Workers)
-		}
-	}
-	if len(rep.QuerySpeedup) != 2 {
-		t.Fatalf("quick mode produced %d speedup rows, want 2", len(rep.QuerySpeedup))
-	}
-	for _, s := range rep.QuerySpeedup {
-		if s.LockedQPS <= 0 || s.SnapshotQPS <= 0 {
-			t.Errorf("speedup row w=%d has empty throughput (locked %v, snapshot %v)", s.Workers, s.LockedQPS, s.SnapshotQPS)
+			t.Errorf("query cell w=%d saw no concurrent ingest — the cell measured a quiescent index", c.Workers)
 		}
 	}
 	if rep.Meta.NumCPU <= 0 {

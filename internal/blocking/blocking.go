@@ -79,8 +79,8 @@ type shard struct {
 // AddBatch, or Remove (AddBatch's internal fan-out is the one exception, and
 // it synchronizes on the shard mutexes). The owner's own reads therefore stay
 // lock-free. Concurrent *readers* on other goroutines — the online query path
-// — must go through the Probe* accessors, which snapshot state under regMu
-// and the shard mutexes; see probe.go.
+// — read the immutable snapshot the owner publishes (PublishedSnap; see
+// rcu.go), never the live structures.
 type Collection struct {
 	cleanClean   bool
 	maxBlockSize int // purge threshold; 0 disables purging
@@ -94,11 +94,11 @@ type Collection struct {
 	// select the budgeted disk-spill backend instead (see store.go).
 	store storage.PostingStore[*Block]
 
-	// regMu guards the profile registry (profiles, ofProf) against the
-	// Probe* readers. The owner takes the write lock around registry
+	// regMu guards the profile registry (profiles, ofProf) against readers
+	// on other goroutines. The owner takes the write lock around registry
 	// mutations and reads without locking (same goroutine as every writer);
-	// query goroutines take the read lock. Lock order: regMu before any
-	// shard mutex, never the reverse.
+	// an off-goroutine reader takes the read lock. Lock order: regMu before
+	// any shard mutex, never the reverse.
 	regMu    sync.RWMutex
 	profiles map[int]*profile.Profile
 	ofProf   map[int][]intern.Sym // profile ID -> symbols of blocks it was added to

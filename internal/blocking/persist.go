@@ -140,7 +140,11 @@ func LoadShardedStorage(r io.Reader, keyer Keyer, shards int, scfg storage.Confi
 		return nil, fmt.Errorf("blocking: load checkpoint: %w", err)
 	}
 	c := NewCollectionStorage(img.CleanClean, img.MaxBlockSize, keyer, shards, scfg)
-	c.tab = intern.FromSymbols(img.Symbols)
+	tab, err := intern.FromSymbols(img.Symbols)
+	if err != nil {
+		return nil, fmt.Errorf("blocking: load checkpoint: %w", err)
+	}
+	c.tab = tab
 	for _, pb := range img.Blocks {
 		sym := intern.Sym(pb.Sym)
 		if int(pb.Sym) >= len(img.Symbols) {

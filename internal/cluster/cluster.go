@@ -104,22 +104,3 @@ func (s *Set) Clusters(minSize int) [][]int {
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
-
-// Pairs expands the current clustering into its implied duplicate pairs
-// (the transitive closure of all Merge calls), capped at limit pairs
-// (limit <= 0 means no cap). Large clusters imply quadratically many pairs;
-// the cap protects callers that only need a sample.
-func (s *Set) Pairs(limit int) [][2]int {
-	var out [][2]int
-	for _, members := range s.Clusters(2) {
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				out = append(out, [2]int{members[i], members[j]})
-				if limit > 0 && len(out) >= limit {
-					return out
-				}
-			}
-		}
-	}
-	return out
-}

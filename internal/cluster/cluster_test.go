@@ -69,19 +69,6 @@ func TestClustersMaterialization(t *testing.T) {
 	}
 }
 
-func TestPairsClosure(t *testing.T) {
-	s := New()
-	s.Merge(1, 2)
-	s.Merge(2, 3)
-	pairs := s.Pairs(0)
-	if len(pairs) != 3 { // {1,2},{1,3},{2,3}
-		t.Fatalf("Pairs = %v, want 3", pairs)
-	}
-	if got := s.Pairs(2); len(got) != 2 {
-		t.Errorf("Pairs(2) = %v, want capped at 2", got)
-	}
-}
-
 func TestAgainstNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 30; trial++ {
@@ -150,20 +137,5 @@ func BenchmarkMergeFind(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Merge(rng.Intn(100000), rng.Intn(100000))
-	}
-}
-
-func TestPairsUnlimitedMatchesClosureSize(t *testing.T) {
-	s := New()
-	// Cluster of 5: C(5,2) = 10 pairs; plus a pair cluster: 1 pair.
-	for i := 1; i < 5; i++ {
-		s.Merge(0, i)
-	}
-	s.Merge(10, 11)
-	if got := len(s.Pairs(0)); got != 11 {
-		t.Errorf("Pairs(0) = %d, want 11", got)
-	}
-	if got := len(s.Pairs(11)); got != 11 {
-		t.Errorf("Pairs(11) = %d, want 11 (limit equals closure)", got)
 	}
 }

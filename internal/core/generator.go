@@ -41,7 +41,7 @@ type genScratch struct {
 // producing useful work.
 //
 // Per-profile candidate generation is independent by construction — the
-// smaller-ID rule in metablocking.Candidates generates every unordered pair
+// smaller-ID rule of Kernel.Candidates generates every unordered pair
 // exactly once, from the later profile, against collection state that already
 // contains the whole increment — so candidates fans the profiles out over the
 // pool's dynamic scheduler: workers pull profile indices from a shared atomic

@@ -273,7 +273,3 @@ func (s *IPES) setActiveGauge() {
 
 // Pending implements Strategy.
 func (s *IPES) Pending() int { return s.pending }
-
-// Entities returns the number of entities currently tracked in E_PQ (for
-// observability and tests).
-func (s *IPES) Entities() int { return len(s.epq) }

@@ -227,23 +227,25 @@ func (t *Table) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reconstructs a table from a checkpoint written by Save.
+// Load reconstructs a table from a checkpoint written by Save. A corrupted
+// image — undecodable, or listing a string twice — returns an error.
 func Load(r io.Reader) (*Table, error) {
 	var img tableImage
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("intern: load table: %w", err)
 	}
-	return FromSymbols(img.Symbols), nil
+	return FromSymbols(img.Symbols)
 }
 
-// FromSymbols builds a table whose symbol i resolves to symbols[i]. Duplicate
-// strings are a programming error and panic (the mapping would be ambiguous).
-func FromSymbols(symbols []string) *Table {
+// FromSymbols builds a table whose symbol i resolves to symbols[i]. A
+// duplicate string would make the mapping ambiguous, so it returns an error:
+// the symbols come from checkpoint bytes, which may be corrupted.
+func FromSymbols(symbols []string) (*Table, error) {
 	t := New(len(symbols))
 	for i, s := range symbols {
 		if t.Intern(s) != Sym(i) {
-			panic(fmt.Sprintf("intern: duplicate symbol %q in restored table", s))
+			return nil, fmt.Errorf("intern: duplicate symbol %q in restored table", s)
 		}
 	}
-	return t
+	return t, nil
 }

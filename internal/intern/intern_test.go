@@ -3,6 +3,7 @@ package intern
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -95,13 +96,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromSymbolsDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FromSymbols with duplicates did not panic")
-		}
-	}()
-	FromSymbols([]string{"x", "y", "x"})
+func TestFromSymbolsDuplicateErrors(t *testing.T) {
+	tab, err := FromSymbols([]string{"x", "y", "x"})
+	if err == nil || tab != nil {
+		t.Fatalf("FromSymbols with duplicates = %v, %v; want nil table and an error", tab, err)
+	}
+	if !strings.Contains(err.Error(), `duplicate symbol "x"`) {
+		t.Errorf("error %q does not name the duplicate", err)
+	}
 }
 
 // TestConcurrentIntern hammers one table from many goroutines over an

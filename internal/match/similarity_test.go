@@ -2,6 +2,7 @@ package match
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -76,28 +77,39 @@ func norm(xs []string) []string {
 	return out
 }
 
+// symSet sorts and deduplicates xs into the symbol-set form the token
+// measures take.
+func symSet(xs []uint8) []uint32 {
+	out := make([]uint32, 0, len(xs))
+	for _, x := range xs {
+		out = append(out, uint32(x))
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return slices.Compact(out)
+}
+
 func TestOverlapAndCosine(t *testing.T) {
-	a := []string{"aa", "bb", "cc"}
-	b := []string{"bb", "cc", "dd", "ee"}
-	if got := Overlap(a, b); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Errorf("Overlap = %v, want 2/3", got)
+	a := []uint32{1, 2, 3}
+	b := []uint32{2, 3, 4, 5}
+	if got := overlapSyms(a, b); math.Abs(got-2.0/3.0) > 1e-12 {
+		t.Errorf("overlap = %v, want 2/3", got)
 	}
-	if got := Cosine(a, b); math.Abs(got-2.0/math.Sqrt(12)) > 1e-12 {
-		t.Errorf("Cosine = %v", got)
+	if got := cosineSyms(a, b); math.Abs(got-2.0/math.Sqrt(12)) > 1e-12 {
+		t.Errorf("cosine = %v", got)
 	}
-	if Overlap(nil, nil) != 1 || Cosine(nil, nil) != 1 {
+	if overlapSyms(nil, nil) != 1 || cosineSyms(nil, nil) != 1 {
 		t.Error("empty-empty must be 1")
 	}
-	if Overlap(a, nil) != 0 || Cosine(nil, b) != 0 {
+	if overlapSyms(a, nil) != 0 || cosineSyms(nil, b) != 0 {
 		t.Error("empty-vs-nonempty must be 0")
 	}
 }
 
 func TestTokenMeasuresBoundsAndOrder(t *testing.T) {
 	// For any sets: Jaccard <= Cosine <= Overlap (standard inequality).
-	f := func(a, b []string) bool {
-		na, nb := norm(a), norm(b)
-		j, c, o := Jaccard(na, nb), Cosine(na, nb), Overlap(na, nb)
+	f := func(a, b []uint8) bool {
+		na, nb := symSet(a), symSet(b)
+		j, c, o := jaccardSyms(na, nb), cosineSyms(na, nb), overlapSyms(na, nb)
 		return j <= c+1e-12 && c <= o+1e-12 && o <= 1 && j >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

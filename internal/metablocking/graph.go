@@ -15,7 +15,7 @@ import (
 // weight, ties by pair key).
 func Edges(col *blocking.Collection, ids []int, scheme Scheme) []Comparison {
 	var out []Comparison
-	var g Accumulator
+	var k Kernel
 	var blocksBuf []*blocking.Block
 	for _, id := range ids {
 		p := col.Profile(id)
@@ -23,7 +23,7 @@ func Edges(col *blocking.Collection, ids []int, scheme Scheme) []Comparison {
 			continue
 		}
 		blocksBuf = col.AppendBlocksOf(id, blocksBuf[:0])
-		out = append(out, g.Candidates(col, p, blocksBuf, scheme)...)
+		out = append(out, k.Candidates(col, p, blocksBuf, scheme)...)
 	}
 	sort.Slice(out, func(i, j int) bool { return Less(out[j], out[i]) })
 	return out

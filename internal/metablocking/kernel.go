@@ -12,7 +12,7 @@ import (
 // epoch-stamped counter array — O(Σ block sizes) per profile instead of
 // O(pairs × key-list length) — following the meta-blocking literature's
 // neighbor-accumulator technique. The two-pointer SharedBlocks and the
-// map-based Accumulator above stay as the reference implementations; the
+// map-based Accumulator stay only as the reference implementations; the
 // differential battery (kernel_test.go, internal/check) pins the kernel's
 // emission bit-identical to them.
 
@@ -50,11 +50,11 @@ type dslot struct {
 // access patterns with one epoch-stamped accumulator:
 //
 //   - Candidates: all weighted edges of one new profile in a single sweep
-//     over its (ghosted) blocks — the drop-in replacement for
-//     Accumulator.Candidates on the incremental generation hot path.
+//     over its (ghosted) blocks — incremental candidate generation (the
+//     PIER strategies, I-BASE) and the PPS graph materialization (Edges).
 //   - SharedBlocks: per-pair CBS weights during block scans (I-PBS emission,
-//     fallback scans), amortized by sweeping the anchor's blocks once into
-//     neighbor counts and answering each partner in O(1).
+//     fallback scans, the PBS baseline), amortized by sweeping the anchor's
+//     blocks once into neighbor counts and answering each partner in O(1).
 //   - BeginProbe/Accumulate/Partners/ProbeStats: the serving path's probe-side
 //     accumulation over pinned posting snapshots (stream.Query), which never
 //     touches the collection's owner-only read path.
@@ -227,9 +227,9 @@ func (k *Kernel) Candidates(col *blocking.Collection, p *profile.Profile, blocks
 func (k *Kernel) weigh(col *blocking.Collection, scheme Scheme, x, y, common int, arcsSum float64) float64 {
 	switch scheme {
 	case JSScheme:
-		return weighJS(common, k.numBlocksOf(col, x), k.numBlocksOf(col, y))
+		return WeighJS(common, k.numBlocksOf(col, x), k.numBlocksOf(col, y))
 	case ECBS:
-		return weighECBS(common, k.numBlocks(col), k.numBlocksOf(col, x), k.numBlocksOf(col, y))
+		return WeighECBS(common, k.numBlocks(col), k.numBlocksOf(col, x), k.numBlocksOf(col, y))
 	case ARCS:
 		return arcsSum
 	default: // CBS
@@ -297,12 +297,11 @@ func (k *Kernel) numBlocksOf(col *blocking.Collection, id int) int {
 	return v
 }
 
-// SharedBlocks counts the live blocks shared by x and y — the drop-in
-// replacement for Weigher.SharedBlocks on block-scan paths where one anchor x
-// is weighed against many partners in a row. On anchor change it sweeps x's
-// live blocks once, accumulating a co-occurrence count for every member
-// profile; each partner then answers in O(1) from the dense scratch. Like the
-// Weigher, callers keep the anchor in the first argument position across a
+// SharedBlocks counts the live blocks shared by x and y on block-scan paths
+// where one anchor x is weighed against many partners in a row. On anchor
+// change it sweeps x's live blocks once, accumulating a co-occurrence count
+// for every member profile; each partner then answers in O(1) from the dense
+// scratch. Callers keep the anchor in the first argument position across a
 // scan to benefit from the cache; correctness does not depend on it.
 func (k *Kernel) SharedBlocks(col *blocking.Collection, x, y int) int {
 	if !k.aOK || k.aCol != col || k.aVer != col.Version() || k.aID != x {

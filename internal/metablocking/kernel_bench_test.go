@@ -99,17 +99,3 @@ func BenchmarkSharedBlocksReference(b *testing.B) {
 		benchSink = anchorScan(col, blocks, x, SharedBlocks)
 	}
 }
-
-// BenchmarkSharedBlocksWeigher is the cached binary-search Weigher (the
-// previous hot path) on the identical anchor-scan workload.
-func BenchmarkSharedBlocksWeigher(b *testing.B) {
-	col, ps := benchCollection(b)
-	var w Weigher
-	var blocks []*blocking.Block
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x := ps[i%len(ps)].ID
-		blocks = col.AppendBlocksOf(x, blocks[:0])
-		benchSink = anchorScan(col, blocks, x, w.SharedBlocks)
-	}
-}

@@ -150,15 +150,14 @@ func TestKernelDenominatorCacheInvalidation(t *testing.T) {
 }
 
 // TestKernelSharedBlocksMatchesReference pins the anchor-sweep CBS counter
-// against both the one-shot two-pointer SharedBlocks and the cached Weigher,
-// in the access pattern of a block scan (one anchor, many partners) and with
-// collection mutations between scans.
+// against the two-pointer reference SharedBlocks, in the access pattern of a
+// block scan (one anchor, many partners) and with collection mutations
+// between scans.
 func TestKernelSharedBlocksMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		for _, cleanClean := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(seed))
 			col, ps := randomCollection(rng, cleanClean, 40, 6, func(i int) int { return i + 1 })
-			var w Weigher
 			var kern Kernel
 			check := func(label string) {
 				t.Helper()
@@ -168,9 +167,6 @@ func TestKernelSharedBlocksMatchesReference(t *testing.T) {
 							continue
 						}
 						want := SharedBlocks(col, x.ID, y.ID)
-						if got := w.SharedBlocks(col, x.ID, y.ID); got != want {
-							t.Fatalf("%s: Weigher(%d,%d) = %d, reference %d", label, x.ID, y.ID, got, want)
-						}
 						if got := kern.SharedBlocks(col, x.ID, y.ID); got != want {
 							t.Fatalf("%s: Kernel(%d,%d) = %d, reference %d", label, x.ID, y.ID, got, want)
 						}

@@ -1,9 +1,8 @@
 // Package metablocking implements the meta-blocking machinery the paper
 // builds on (Papadakis et al., TKDE 2013): comparison candidates, edge
 // weighting schemes over the implicit blocking graph, candidate generation
-// for newly arrived profiles, and comparison cleaning — both the batch
-// Weighted Node Pruning (WNP) used by the progressive baselines and its
-// incremental variant I-WNP from the paper's framework reference [17].
+// for newly arrived profiles, and comparison cleaning with the incremental
+// Weighted Node Pruning (I-WNP) of the paper's framework reference [17].
 //
 // The blocking graph has one node per profile and an edge between two
 // profiles whenever they share at least one block; weighting schemes score
@@ -100,13 +99,14 @@ func (s Scheme) String() string {
 
 // weigh computes the scheme weight for a pair given the accumulated
 // per-shared-block statistics: common = |B(x) ∩ B(y)| and arcsSum =
-// Σ_{b ∈ shared} 1/||b||.
+// Σ_{b ∈ shared} 1/||b||. Only the reference Accumulator uses it; the
+// Kernel reads the same formulas through its denominator caches.
 func (s Scheme) weigh(col *blocking.Collection, x, y, common int, arcsSum float64) float64 {
 	switch s {
 	case JSScheme:
-		return weighJS(common, col.NumBlocksOf(x), col.NumBlocksOf(y))
+		return WeighJS(common, col.NumBlocksOf(x), col.NumBlocksOf(y))
 	case ECBS:
-		return weighECBS(common, col.NumBlocks(), col.NumBlocksOf(x), col.NumBlocksOf(y))
+		return WeighECBS(common, col.NumBlocks(), col.NumBlocksOf(x), col.NumBlocksOf(y))
 	case ARCS:
 		return arcsSum
 	default: // CBS
@@ -114,10 +114,11 @@ func (s Scheme) weigh(col *blocking.Collection, x, y, common int, arcsSum float6
 	}
 }
 
-// weighJS is the Jaccard formula over pre-fetched block-set cardinalities.
-// Factored out so the sweep kernel's cached-denominator path evaluates the
-// byte-identical float expression as the reference weigher.
-func weighJS(common, bx, by int) float64 {
+// WeighJS is the Jaccard formula over pre-fetched block-set cardinalities:
+// common / (bx + by - common). It is the one copy of the expression, shared
+// by the reference weigher, the sweep kernel's cached-denominator path and
+// the serving path's probe weighting, so all three produce identical floats.
+func WeighJS(common, bx, by int) float64 {
 	union := bx + by - common
 	if union <= 0 {
 		return 0
@@ -125,32 +126,13 @@ func weighJS(common, bx, by int) float64 {
 	return float64(common) / float64(union)
 }
 
-// weighECBS is the ECBS formula over pre-fetched cardinalities; see weighJS on
-// why it is factored out.
-func weighECBS(common, total, bx, by int) float64 {
+// WeighECBS is the ECBS formula over pre-fetched cardinalities:
+// common · log(total/bx) · log(total/by). See WeighJS on why it is shared.
+func WeighECBS(common, total, bx, by int) float64 {
 	if bx == 0 || by == 0 || total == 0 {
 		return 0
 	}
 	return float64(common) * math.Log(float64(total)/float64(bx)) * math.Log(float64(total)/float64(by))
-}
-
-// Candidates generates the weighted comparisons of a newly arrived profile p
-// against *earlier* profiles (smaller IDs) from the given block slice —
-// typically p's blocks after ghosting. For Clean-Clean collections only
-// cross-source partners are considered. Each partner yields exactly one
-// comparison whose weight aggregates all shared blocks in the slice; BSize is
-// the size of the smallest shared block, the natural block-centric tag.
-//
-// Restricting partners to smaller IDs makes incremental generation naturally
-// non-redundant: every unordered pair is generated exactly once, when its
-// later profile arrives.
-//
-// Candidates is the one-shot convenience over a throwaway Accumulator; the
-// per-increment hot paths hold an Accumulator per worker and reuse its
-// scratch across profiles.
-func Candidates(col *blocking.Collection, p *profile.Profile, blocks []*blocking.Block, scheme Scheme) []Comparison {
-	var a Accumulator
-	return a.Candidates(col, p, blocks, scheme)
 }
 
 // acc aggregates the per-shared-block statistics of one candidate partner.
@@ -160,24 +142,26 @@ type acc struct {
 	bsize  int
 }
 
-// Accumulator is reusable candidate-generation scratch: the partner
-// accumulator map and the output comparison buffer survive across calls, so
-// steady-state generation allocates only when a profile's partner count
-// outgrows every previous one. An Accumulator is single-goroutine state; the
-// parallel candidate-generation path keeps one per worker slot.
+// Accumulator is the map-based reference implementation of candidate
+// generation. Production code generates candidates with a Kernel; the
+// Accumulator's only role is to be the oracle the differential tests
+// (kernel_test.go here, internal/check and internal/core) pin the Kernel's
+// output against, bit for bit. It is exported for those tests in other
+// packages. An Accumulator is single-goroutine state.
 type Accumulator struct {
-	// partners is a value map, not map[int]*acc: accumulator updates are
-	// read-modify-write on the map slot, trading one map store per block
-	// membership for one heap object per partner. Candidates runs once per
-	// profile of every increment, so per-call allocation volume matters more
-	// than the extra store.
 	partners map[int]acc
 	out      []Comparison
 }
 
-// Candidates is the package-level Candidates against the reusable scratch.
-// The returned slice is owned by the Accumulator and valid until its next
-// call; callers consume or copy it before generating the next profile.
+// Candidates generates the weighted comparisons of a newly arrived profile p
+// against earlier profiles (smaller IDs) from the given block slice —
+// typically p's blocks after ghosting. For Clean-Clean collections only
+// cross-source partners are considered. Each partner yields exactly one
+// comparison whose weight aggregates all shared blocks in the slice; BSize
+// is the size of the smallest shared block. Restricting partners to smaller
+// IDs makes incremental generation non-redundant: every unordered pair is
+// generated exactly once, when its later profile arrives. The returned slice
+// is owned by the Accumulator and valid until its next call.
 func (g *Accumulator) Candidates(col *blocking.Collection, p *profile.Profile, blocks []*blocking.Block, scheme Scheme) []Comparison {
 	if g.partners == nil {
 		g.partners = make(map[int]acc)
@@ -269,57 +253,14 @@ func IWNP(cs []Comparison) []Comparison {
 }
 
 // SharedBlocks counts the live blocks shared by profiles x and y — the exact
-// CBS weight of the pair, computed by sorted symbol intersection (two integer
-// slices, no per-pair map allocation). It is the reference implementation the
-// differential battery pins the sweep kernel against, and the one-shot
-// convenience; the block-scan hot paths (I-PBS, fallback scans) use a
-// Kernel, which amortizes one neighbor-counting sweep over the anchor's
-// blocks across all the pairs of a scan, and the batch baseline keeps a
-// Weigher for the same reason.
+// CBS weight of the pair, computed by sorted symbol intersection. Production
+// code weighs pairs with Kernel.SharedBlocks; this function's only role is
+// to be the reference the differential tests pin the Kernel against. It is
+// exported for those tests in other packages.
 func SharedBlocks(col *blocking.Collection, x, y int) int {
 	sx := col.AppendLiveSymsOf(x, nil)
 	sy := col.AppendLiveSymsOf(y, nil)
 	slices.Sort(sx)
 	slices.Sort(sy)
 	return intern.IntersectCount(sx, sy)
-}
-
-// Weigher is a reusable per-pair CBS weigher for block-scan candidate
-// generation, where one anchor profile is weighed against many partners in a
-// row. It keeps the anchor's live block symbols as a sorted scratch slice
-// that is rebuilt only when the anchor (or the collection state) changes and
-// reuses buffers across calls, so steady-state weighing allocates nothing and
-// each partner symbol resolves by binary search over a dense uint32 slice —
-// no string hashing anywhere.
-//
-// A Weigher is single-goroutine state: strategies own one each (index
-// mutation is single-writer per the Strategy contract), never sharing it
-// across the candidate-generation worker pool.
-type Weigher struct {
-	col     *blocking.Collection
-	version uint64
-	anchor  int
-	valid   bool
-	xbuf    []intern.Sym // anchor's live symbols, sorted
-	ybuf    []intern.Sym
-}
-
-// SharedBlocks counts the live blocks shared by x and y, caching x's sorted
-// symbol set between calls. Callers should keep the anchor profile in the
-// first argument position across a scan to benefit from the cache;
-// correctness does not depend on it.
-func (w *Weigher) SharedBlocks(col *blocking.Collection, x, y int) int {
-	if !w.valid || w.col != col || w.version != col.Version() || w.anchor != x {
-		w.xbuf = col.AppendLiveSymsOf(x, w.xbuf[:0])
-		slices.Sort(w.xbuf)
-		w.col, w.version, w.anchor, w.valid = col, col.Version(), x, true
-	}
-	w.ybuf = col.AppendLiveSymsOf(y, w.ybuf[:0])
-	n := 0
-	for _, sym := range w.ybuf {
-		if _, ok := slices.BinarySearch(w.xbuf, sym); ok {
-			n++
-		}
-	}
-	return n
 }

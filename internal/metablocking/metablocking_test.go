@@ -32,6 +32,13 @@ func smallWorld(t *testing.T) (*blocking.Collection, []*profile.Profile) {
 	return c, ps
 }
 
+// candidates weighs p's candidates with a fresh Kernel, the generation path
+// production code uses.
+func candidates(col *blocking.Collection, p *profile.Profile, blocks []*blocking.Block, scheme Scheme) []Comparison {
+	var k Kernel
+	return k.Candidates(col, p, blocks, scheme)
+}
+
 func findCmp(cs []Comparison, x, y int) (Comparison, bool) {
 	key := profile.PairKey(x, y)
 	for _, c := range cs {
@@ -48,7 +55,7 @@ func TestCandidatesCBS(t *testing.T) {
 	p2 := mk(2, profile.SourceB, "matrix sequel movie")
 	c.Add(p2)
 
-	cs := Candidates(c, p2, c.BlocksOf(2), CBS)
+	cs := candidates(c, p2, c.BlocksOf(2), CBS)
 	if len(cs) != 1 {
 		t.Fatalf("got %d candidates, want 1: %v", len(cs), cs)
 	}
@@ -63,12 +70,12 @@ func TestCandidatesCBS(t *testing.T) {
 func TestCandidatesOnlySmallerIDs(t *testing.T) {
 	c, ps := smallWorld(t)
 	// Candidates for p1 (ID 1, smallest): no earlier partners exist.
-	cs := Candidates(c, ps[0], c.BlocksOf(1), CBS)
+	cs := candidates(c, ps[0], c.BlocksOf(1), CBS)
 	if len(cs) != 0 {
 		t.Errorf("p1 candidates = %v, want none (no smaller IDs)", cs)
 	}
 	// p3 shares "matrix" with p1 only (cross-source).
-	cs = Candidates(c, ps[2], c.BlocksOf(3), CBS)
+	cs = candidates(c, ps[2], c.BlocksOf(3), CBS)
 	if len(cs) != 1 || cs[0].Y != 1 {
 		t.Errorf("p3 candidates = %v, want exactly (3,1)", cs)
 	}
@@ -77,7 +84,7 @@ func TestCandidatesOnlySmallerIDs(t *testing.T) {
 func TestCandidatesCleanCleanCrossSourceOnly(t *testing.T) {
 	c, ps := smallWorld(t)
 	// p4 (source B) shares no token with p1 (A); p2, p3 are same-source.
-	cs := Candidates(c, ps[3], c.BlocksOf(4), CBS)
+	cs := candidates(c, ps[3], c.BlocksOf(4), CBS)
 	if len(cs) != 0 {
 		t.Errorf("p4 candidates = %v, want none", cs)
 	}
@@ -89,7 +96,7 @@ func TestCandidatesDirtyAllPairs(t *testing.T) {
 	c.Add(mk(2, profile.SourceA, "shared other"))
 	p3 := mk(3, profile.SourceA, "shared token")
 	c.Add(p3)
-	cs := Candidates(c, p3, c.BlocksOf(3), CBS)
+	cs := candidates(c, p3, c.BlocksOf(3), CBS)
 	if len(cs) != 2 {
 		t.Fatalf("dirty candidates = %v, want 2", cs)
 	}
@@ -110,7 +117,7 @@ func TestCandidatesBSizeIsSmallestSharedBlock(t *testing.T) {
 	c.Add(mk(3, profile.SourceA, "common"))
 	p4 := mk(4, profile.SourceB, "rare common")
 	c.Add(p4)
-	cs := Candidates(c, p4, c.BlocksOf(4), CBS)
+	cs := candidates(c, p4, c.BlocksOf(4), CBS)
 	c41, ok := findCmp(cs, 4, 1)
 	if !ok {
 		t.Fatalf("missing c(4,1) in %v", cs)
@@ -126,7 +133,7 @@ func TestJSSchemeWeight(t *testing.T) {
 	c.Add(mk(1, profile.SourceA, "aa bb cc"))
 	p2 := mk(2, profile.SourceB, "aa bb dd")
 	c.Add(p2)
-	cs := Candidates(c, p2, c.BlocksOf(2), JSScheme)
+	cs := candidates(c, p2, c.BlocksOf(2), JSScheme)
 	if len(cs) != 1 {
 		t.Fatalf("candidates = %v", cs)
 	}
@@ -142,7 +149,7 @@ func TestARCSSchemeWeight(t *testing.T) {
 	c.Add(mk(2, profile.SourceA, "bb"))
 	p3 := mk(3, profile.SourceB, "aa bb")
 	c.Add(p3)
-	cs := Candidates(c, p3, c.BlocksOf(3), ARCS)
+	cs := candidates(c, p3, c.BlocksOf(3), ARCS)
 	c31, ok := findCmp(cs, 3, 1)
 	if !ok {
 		t.Fatalf("missing c(3,1): %v", cs)
@@ -158,7 +165,7 @@ func TestECBS(t *testing.T) {
 	c.Add(mk(1, profile.SourceA, "aa bb cc"))
 	p2 := mk(2, profile.SourceB, "aa bb")
 	c.Add(p2)
-	cs := Candidates(c, p2, c.BlocksOf(2), ECBS)
+	cs := candidates(c, p2, c.BlocksOf(2), ECBS)
 	if len(cs) != 1 {
 		t.Fatalf("candidates = %v", cs)
 	}
@@ -172,7 +179,7 @@ func TestECBS(t *testing.T) {
 	c.Add(mk(3, profile.SourceA, "zz"))
 	p4 := mk(4, profile.SourceB, "aa bb")
 	c.Add(p4)
-	cs = Candidates(c, p4, c.BlocksOf(4), ECBS)
+	cs = candidates(c, p4, c.BlocksOf(4), ECBS)
 	c41, ok := findCmp(cs, 4, 1)
 	if !ok {
 		t.Fatalf("missing c(4,1): %v", cs)
@@ -197,8 +204,8 @@ func TestCandidatesDeterministicOrder(t *testing.T) {
 		last = mk(i, profile.SourceA, val)
 		c.Add(last)
 	}
-	a := Candidates(c, last, c.BlocksOf(last.ID), CBS)
-	b := Candidates(c, last, c.BlocksOf(last.ID), CBS)
+	a := candidates(c, last, c.BlocksOf(last.ID), CBS)
+	b := candidates(c, last, c.BlocksOf(last.ID), CBS)
 	if len(a) != len(b) {
 		t.Fatal("non-deterministic candidate count")
 	}
@@ -311,7 +318,7 @@ func TestCBSSymmetry(t *testing.T) {
 		return n
 	}
 	for _, p := range ps[1:] {
-		for _, cand := range Candidates(c, p, c.BlocksOf(p.ID), CBS) {
+		for _, cand := range candidates(c, p, c.BlocksOf(p.ID), CBS) {
 			if want := intersect(cand.X, cand.Y); int(cand.Weight) != want {
 				t.Fatalf("CBS(%d,%d) = %v, want %d", cand.X, cand.Y, cand.Weight, want)
 			}

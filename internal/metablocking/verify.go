@@ -22,7 +22,7 @@ func VerifyDescending(cs []Comparison) error {
 }
 
 // VerifyPruned checks the weight-monotonicity contract of mean-threshold edge
-// pruning (IWNP, WEP): every retained comparison must weigh at least the mean
+// pruning (IWNP): every retained comparison must weigh at least the mean
 // weight of the original list, and every dropped one strictly less. in is the
 // pre-pruning list, kept the pruning output. Because IWNP reuses the input
 // slice for its result, callers must pass a copy of the input.

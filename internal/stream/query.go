@@ -3,7 +3,6 @@ package stream
 import (
 	"context"
 	"errors"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -18,16 +17,16 @@ import (
 // profile against the live blocking index from any goroutine, while the
 // pipeline goroutine keeps ingesting. The query never writes pipeline state
 // — candidates come from one pinned read view (the RCU snapshot the pipeline
-// publishes after each increment, or the locked Probe* path as fallback),
-// the probe's tokens are looked up without interning, and nothing the query
-// does reaches the strategy, the cluster graph, the dedup map, or the
-// adaptive-K controller — so a stream run produces bit-for-bit identical
-// results whether or not queries hammer it. Because the whole query runs
-// against a single published version, its answer can never mix state from
-// two increments (no torn snapshots); see DESIGN.md §12. The one shared
-// piece is the fallible matcher's circuit breaker: queries and stream
-// batches protect the same downstream match service, so a breaker opened by
-// either side throttles both. See DESIGN.md §11.
+// publishes after each increment), the probe's tokens are looked up without
+// interning, and nothing the query does reaches the strategy, the cluster
+// graph, the dedup map, or the adaptive-K controller — so a stream run
+// produces bit-for-bit identical results whether or not queries hammer it.
+// Because the whole query runs against a single published version, its
+// answer can never mix state from two increments (no torn snapshots); see
+// DESIGN.md §12. The one shared piece is the fallible matcher's circuit
+// breaker: queries and stream batches protect the same downstream match
+// service, so a breaker opened by either side throttles both. See DESIGN.md
+// §11.
 
 // DefaultQueryTopK is the number of top-ranked candidates a query matches
 // when QueryOptions.TopK is zero.
@@ -73,13 +72,6 @@ type QueryAnswer struct {
 	Elapsed time.Duration
 }
 
-// probeAcc aggregates the per-shared-block statistics of one candidate
-// partner, mirroring metablocking's accumulator for the probe side.
-type probeAcc struct {
-	common int
-	arcs   float64
-}
-
 // probeKernels pools the probe-side sweep scratch across queries: a kernel's
 // dense epoch-stamped arrays replace the per-query partner map, so a warm
 // query accumulates its candidates with zero allocation. Pool size is bounded
@@ -110,10 +102,10 @@ func (l *Live) Query(ctx context.Context, probe *profile.Profile, opt QueryOptio
 	t0 := time.Now()
 	col := l.st.col
 
-	// Pin one read view for the whole query. The published snapshot makes
-	// every lookup below lock-free; the locked reader is the fallback (and
-	// the benchmark baseline via LiveConfig.LockedQueryReads).
-	view := l.probeReader(col)
+	// Pin one read view for the whole query: the published snapshot makes
+	// every lookup below lock-free. LiveRun and RestoreLive publish before
+	// any query can run, so a snapshot always exists.
+	view := col.PublishedSnap()
 	syms := col.ProbeSyms(probe)
 	postings := view.AppendPostings(make([]*blocking.Posting, 0, len(syms)), syms)
 
@@ -147,7 +139,7 @@ func (l *Live) Query(ctx context.Context, probe *profile.Profile, opt QueryOptio
 		common, arcs := kern.ProbeStats(id)
 		cands = append(cands, QueryCandidate{
 			ID:     id,
-			Weight: l.probeWeigh(view, bProbe, id, probeAcc{common: common, arcs: arcs}),
+			Weight: l.probeWeigh(view, bProbe, id, common, arcs),
 		})
 	}
 	probeKernels.Put(kern)
@@ -201,43 +193,22 @@ func (l *Live) Query(ctx context.Context, probe *profile.Profile, opt QueryOptio
 	return ans, nil
 }
 
-// probeReader picks the read view one query pins for its whole execution:
-// the published RCU snapshot when the pipeline publishes them (lock-free,
-// version-consistent), otherwise the locked per-call reader. The
-// LockedQueryReads knob forces the locked path so cmd/pierscale can measure
-// the contention the snapshots remove.
-func (l *Live) probeReader(col *blocking.Collection) blocking.Reader {
-	if l.cfg.LockedQueryReads {
-		return col.LockedReader()
-	}
-	return col.ProbeView()
-}
-
 // probeWeigh computes the configured scheme weight for (probe, partner id)
-// against the query's pinned view — metablocking's weigh reads the registry
-// through the owner-only path and assumes a registered anchor, neither of
-// which holds for a probe. The formulas mirror metablocking.Scheme exactly,
-// with |B(probe)| = the probe's live posting count.
-func (l *Live) probeWeigh(view blocking.Reader, bProbe, id int, a probeAcc) float64 {
+// against the query's pinned snapshot, with |B(probe)| = the probe's live
+// posting count. It uses metablocking's formulas but reads the denominators
+// from the snapshot: the kernel's own weighing reads the registry through the
+// owner-only path and assumes a registered anchor, neither of which holds for
+// a probe. The denominators are read only for the schemes that use them.
+func (l *Live) probeWeigh(view *blocking.Snap, bProbe, id, common int, arcs float64) float64 {
 	switch l.cfg.Scheme {
 	case metablocking.JSScheme:
-		by := view.NumBlocksOf(id)
-		union := bProbe + by - a.common
-		if union <= 0 {
-			return 0
-		}
-		return float64(a.common) / float64(union)
+		return metablocking.WeighJS(common, bProbe, view.NumBlocksOf(id))
 	case metablocking.ECBS:
-		total := view.NumBlocks()
-		by := view.NumBlocksOf(id)
-		if bProbe == 0 || by == 0 || total == 0 {
-			return 0
-		}
-		return float64(a.common) * logRatio(total, bProbe) * logRatio(total, by)
+		return metablocking.WeighECBS(common, view.NumBlocks(), bProbe, view.NumBlocksOf(id))
 	case metablocking.ARCS:
-		return a.arcs
+		return arcs
 	default: // CBS
-		return float64(a.common)
+		return float64(common)
 	}
 }
 
@@ -262,9 +233,4 @@ func (l *Live) queryMatch(ctx context.Context, probe, y *profile.Profile) (ok bo
 	}
 	sim = l.cfg.Matcher.Similarity(probe, y)
 	return sim >= l.cfg.Matcher.Threshold, sim, nil
-}
-
-// logRatio is log(total/part) — the ECBS inverse block-frequency factor.
-func logRatio(total, part int) float64 {
-	return math.Log(float64(total) / float64(part))
 }
